@@ -16,6 +16,9 @@
 //!   same machine, so they survive machine-to-machine noise; each gets
 //!   a floor set well below the recorded value (generous tolerance for
 //!   1-CPU container jitter), not an equality check;
+//! * **ceilings** — the same kind of same-machine ratio, bounded from
+//!   above where growth is the regression (transport overhead over
+//!   in-process work);
 //! * **documented bands** — where prose (CHANGES.md/README) quotes a
 //!   recorded number, the *baseline* value must sit inside the quoted
 //!   band, so record-vs-docs drift fails CI instead of rotting.
@@ -120,6 +123,18 @@ impl Gate {
         match number(fresh, anchor, key) {
             Some(v) if v >= floor => {}
             Some(v) => self.fail(format!("{file}: {anchor}{key} = {v} below floor {floor}")),
+            None => self.fail(format!("{file}: {anchor}{key} unreadable")),
+        }
+    }
+
+    /// A ratio that must stay small: the fresh value must not exceed
+    /// `ceiling`.
+    fn ceiling(&mut self, file: &str, fresh: &str, anchor: &str, key: &str, ceiling: f64) {
+        match number(fresh, anchor, key) {
+            Some(v) if v <= ceiling => {}
+            Some(v) => self.fail(format!(
+                "{file}: {anchor}{key} = {v} above ceiling {ceiling}"
+            )),
             None => self.fail(format!("{file}: {anchor}{key} unreadable")),
         }
     }
@@ -284,6 +299,15 @@ fn main() {
         0.30..=0.60,
         "~43% steady-state hit rate",
     );
+    // Transport stall detector: serve p50 over in-process execute_work
+    // p50 for the same request lines, each side with an identically
+    // warmed cache. Both are timed on the same host in the same run, so
+    // host speed cancels. A healthy transport adds tens of microseconds
+    // of loopback syscalls and thread handoffs to ~1.5 ms of execute
+    // (recorded ~1.0). A Nagle/delayed-ACK stall adds a fixed ~40 ms
+    // timer that does not shrink on a faster host (read ~37 with it).
+    // The ceiling sits well between the two.
+    gate.ceiling("BENCH_service.json", f, "", "rtt_over_execute", 8.0);
 
     // Arrivals: the million-process plan and the open-system run are
     // pure functions of (seed, workload) — span, checksum, makespan and

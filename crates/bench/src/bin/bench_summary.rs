@@ -21,7 +21,9 @@
 //! Since PR 6 it also drives the `lams-serve` daemon over a loopback
 //! TCP connection with a repeated-scenario request stream and writes
 //! `BENCH_service.json`: requests/sec, p50/p99/max round-trip latency
-//! and the shared artifact cache's hit rate under service load.
+//! and the shared artifact cache's hit rate under service load, plus
+//! the in-process `execute_work` p50 for the same requests and the
+//! gated `rtt_over_execute` ratio.
 //!
 //! Since PR 7 `BENCH_memo.json` gains a `ladder` subsection: a
 //! threshold-ladder matrix timed uncached vs whole-artifact keying
@@ -544,20 +546,49 @@ struct ServiceBench {
     p50_ms: f64,
     p99_ms: f64,
     max_ms: f64,
+    execute_p50_ms: f64,
+    rtt_over_execute: f64,
     hits: u64,
     misses: u64,
     hit_rate: f64,
+}
+
+/// Nearest-rank percentile of an ascending-sorted, non-empty sample.
+fn percentile(sorted: &[f64], p: usize) -> f64 {
+    sorted[(sorted.len() * p / 100).min(sorted.len() - 1)]
 }
 
 /// Drives a live `lams-serve` daemon over loopback TCP with a
 /// repeated-scenario stream (every suite-triple app under RS/RRS/LS,
 /// several rounds) and measures synchronous round-trip latency. A
 /// warm-up round fills the shared artifact cache, so the measured
-/// stream is the steady state a sweep front-end sees.
+/// stream is the steady state a sweep front-end sees. Each request
+/// line leaves the client as one write on a `TCP_NODELAY` socket.
+///
+/// The same warm-up and measured lines are then run through in-process
+/// [`lams_serve::execute_work`] against an identically warmed cache;
+/// `rtt_over_execute` (serve p50 over execute p50) is what the
+/// transport adds, as a host-independent ratio.
 fn service_bench(rounds: usize) -> ServiceBench {
-    use lams_serve::{ServerConfig, TcpServer};
+    use lams_serve::{execute_work, Request, ServerConfig, TcpServer, Work};
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
+
+    let apps = ["shape", "track", "usonic"];
+    let policies = ["rs", "rrs", "ls"];
+    let stream_lines = |id: &str| -> Vec<String> {
+        apps.iter()
+            .flat_map(|app| {
+                policies
+                    .iter()
+                    .map(move |policy| format!("run id={id} app={app} scale=tiny policy={policy}"))
+            })
+            .collect()
+    };
+    let warm = stream_lines("warm");
+    let measured: Vec<String> = (0..rounds)
+        .flat_map(|round| stream_lines(&round.to_string()))
+        .collect();
 
     let config = ServerConfig::default();
     let workers = config.workers;
@@ -566,10 +597,13 @@ fn service_bench(rounds: usize) -> ServiceBench {
     let handle = server.spawn().expect("spawn accept loop");
 
     let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("set TCP_NODELAY");
     let mut writer = stream.try_clone().expect("clone stream");
     let mut reader = BufReader::new(stream);
     let mut ask = |line: &str| -> String {
-        writeln!(writer, "{line}").expect("write request");
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write request");
         let mut resp = String::new();
         reader.read_line(&mut resp).expect("read response");
         resp.trim_end().to_string()
@@ -581,28 +615,17 @@ fn service_bench(rounds: usize) -> ServiceBench {
             .to_string()
     };
 
-    let apps = ["shape", "track", "usonic"];
-    let policies = ["rs", "rrs", "ls"];
-    for app in apps {
-        for policy in policies {
-            let resp = ask(&format!("run id=warm app={app} scale=tiny policy={policy}"));
-            assert!(resp.starts_with("ok "), "warm-up failed: {resp}");
-        }
+    for line in &warm {
+        let resp = ask(line);
+        assert!(resp.starts_with("ok "), "warm-up failed: {resp}");
     }
-
-    let mut latencies_ms = Vec::with_capacity(rounds * apps.len() * policies.len());
+    let mut latencies_ms = Vec::with_capacity(measured.len());
     let start = Instant::now();
-    for round in 0..rounds {
-        for app in apps {
-            for policy in policies {
-                let t = Instant::now();
-                let resp = ask(&format!(
-                    "run id={round} app={app} scale=tiny policy={policy}"
-                ));
-                latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
-                assert!(resp.starts_with("ok "), "request failed: {resp}");
-            }
-        }
+    for line in &measured {
+        let t = Instant::now();
+        let resp = ask(line);
+        latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        assert!(resp.starts_with("ok "), "request failed: {resp}");
     }
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
@@ -614,17 +637,41 @@ fn service_bench(rounds: usize) -> ServiceBench {
     assert!(bye.starts_with("ok "), "shutdown failed: {bye}");
     handle.wait().expect("accept loop exits");
 
+    // The daemon's default cache is unbounded and shared, so a fresh
+    // shared cache given the same warm-up is in the same state.
+    let cache = ArtifactCache::shared();
+    let work = |line: &str| match Request::parse(line) {
+        Ok(Some(Request::Run(r))) => Work::Run(r),
+        other => panic!("not a run request: {line} ({other:?})"),
+    };
+    for line in &warm {
+        execute_work(&work(line), None, &cache);
+    }
+    let mut execute_ms: Vec<f64> = measured
+        .iter()
+        .map(|line| {
+            let work = work(line);
+            let t = Instant::now();
+            black_box(execute_work(&work, None, &cache));
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+
     latencies_ms.sort_by(|a, b| a.total_cmp(b));
+    execute_ms.sort_by(|a, b| a.total_cmp(b));
     let n = latencies_ms.len();
-    let pct = |p: usize| latencies_ms[(n * p / 100).min(n - 1)];
+    let p50_ms = percentile(&latencies_ms, 50);
+    let execute_p50_ms = percentile(&execute_ms, 50);
     ServiceBench {
         requests: n,
         workers,
         wall_ms,
         requests_per_s: n as f64 / wall_ms * 1e3,
-        p50_ms: pct(50),
-        p99_ms: pct(99),
+        p50_ms,
+        p99_ms: percentile(&latencies_ms, 99),
         max_ms: latencies_ms[n - 1],
+        execute_p50_ms,
+        rtt_over_execute: p50_ms / execute_p50_ms,
         hits,
         misses,
         hit_rate,
@@ -1076,6 +1123,10 @@ fn main() {
         vb.p50_ms, vb.p99_ms, vb.max_ms
     );
     eprintln!(
+        "  in-process       execute p50 {:.3} ms, rtt/execute {:.2}x",
+        vb.execute_p50_ms, vb.rtt_over_execute
+    );
+    eprintln!(
         "  cache            {} hits / {} misses ({:.1}% hit rate)",
         vb.hits,
         vb.misses,
@@ -1100,6 +1151,14 @@ fn main() {
     vj.push_str(&format!("    \"p99\": {:.4},\n", vb.p99_ms));
     vj.push_str(&format!("    \"max\": {:.4}\n", vb.max_ms));
     vj.push_str("  },\n");
+    vj.push_str(&format!(
+        "  \"execute_ms\": {{\"p50\": {:.4}}},\n",
+        vb.execute_p50_ms
+    ));
+    vj.push_str(&format!(
+        "  \"rtt_over_execute\": {:.3},\n",
+        vb.rtt_over_execute
+    ));
     vj.push_str("  \"cache\": {\n");
     vj.push_str(&format!("    \"hits\": {},\n", vb.hits));
     vj.push_str(&format!("    \"misses\": {},\n", vb.misses));

@@ -9,7 +9,14 @@
 //! order, each as soon as it is ready — a synchronous client gets its
 //! answer promptly, and a client that floods requests without reading
 //! drives the busy-shedding path.
+//!
+//! Each response leaves the writer as **one** `write_all` of its whole
+//! `\n`-terminated line, and accepted TCP sockets set `TCP_NODELAY`.
+//! A reply split into several small writes would otherwise go out as
+//! several segments, and Nagle holds every segment after the first
+//! until the peer's delayed ACK (~40 ms per round trip).
 
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -156,6 +163,9 @@ impl Service {
         let (tx, rx) = std::sync::mpsc::channel::<Slot>();
         std::thread::scope(|scope| {
             let writer_thread = scope.spawn(move || -> io::Result<()> {
+                // Reused for every response on this stream, so one
+                // line costs one write and no fresh allocation.
+                let mut line = String::new();
                 for slot in rx {
                     let response = match slot {
                         Slot::Ready(response) => response,
@@ -175,7 +185,10 @@ impl Service {
                         // has completed: the counters are settled.
                         Slot::Stats { id } => self.stats_response(&id),
                     };
-                    writeln!(writer, "{response}")?;
+                    line.clear();
+                    write!(line, "{response}").map_err(io::Error::other)?;
+                    line.push('\n');
+                    writer.write_all(line.as_bytes())?;
                     writer.flush()?;
                 }
                 Ok(())
@@ -362,10 +375,11 @@ impl TcpServer {
                     let _ = TcpStream::connect(addr);
                 }
             });
-            conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(handle);
+            let mut live = conns.lock().unwrap_or_else(PoisonError::into_inner);
+            // Reap finished connections so the list tracks live ones,
+            // not every connection ever accepted.
+            live.retain(|h| !h.is_finished());
+            live.push(handle);
         }
         for h in conns.into_inner().unwrap_or_else(PoisonError::into_inner) {
             let _ = h.join();
@@ -388,6 +402,9 @@ impl TcpServer {
 }
 
 fn handle_connection(service: &Service, stream: TcpStream) -> Option<Exit> {
+    // Best effort: without it the connection is still correct, only
+    // slower, so a failure must not end it.
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return None,

@@ -5,8 +5,9 @@
 //! the daemon, and graceful drain under all of it.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use lams_core::{execute_bundle, ArtifactCache, EngineConfig, EvictionPolicy, RandomPolicy};
 use lams_layout::Layout;
@@ -35,6 +36,20 @@ fn serve_lines(config: ServerConfig, input: &str) -> (Vec<String>, Exit, Service
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     line.split_ascii_whitespace()
         .find_map(|tok| tok.strip_prefix(&format!("{key}=")[..]))
+}
+
+/// Sends `line` on a fresh TCP connection as one write and returns the
+/// trimmed response line.
+fn ask_once(addr: SocketAddr, line: &str) -> String {
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    writer
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("write");
+    let mut resp = String::new();
+    reader.read_line(&mut resp).expect("read");
+    resp.trim_end().to_string()
 }
 
 #[test]
@@ -391,24 +406,14 @@ fn shared_cache_is_one_instance_across_connections() {
     let addr = server.local_addr().expect("addr");
     let handle = server.spawn().expect("spawn");
 
-    let ask_once = |line: &str| -> String {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut writer = stream.try_clone().expect("clone");
-        let mut reader = BufReader::new(stream);
-        writeln!(writer, "{line}").expect("write");
-        let mut resp = String::new();
-        reader.read_line(&mut resp).expect("read");
-        resp.trim_end().to_string()
-    };
-
-    let a = ask_once("run id=1 app=track scale=tiny policy=lsm");
-    let b = ask_once("run id=2 app=track scale=tiny policy=lsm");
+    let a = ask_once(addr, "run id=1 app=track scale=tiny policy=lsm");
+    let b = ask_once(addr, "run id=2 app=track scale=tiny policy=lsm");
     assert!(a.starts_with("ok "), "{a}");
     assert_eq!(field(&a, "makespan"), field(&b, "makespan"));
-    let stats = ask_once("stats id=3");
+    let stats = ask_once(addr, "stats id=3");
     let hits: u64 = field(&stats, "hits").unwrap().parse().unwrap();
     assert!(hits > 0, "cross-connection reuse must hit: {stats}");
-    let bye = ask_once("shutdown id=4");
+    let bye = ask_once(addr, "shutdown id=4");
     assert_eq!(bye, "ok id=4 draining=1");
     handle.wait().expect("accept loop exits");
 }
@@ -428,4 +433,112 @@ fn execute_work_is_reusable_in_process() {
     assert_eq!(first.to_string(), second.to_string());
     assert!(cache.stats().hits() > 0);
     let _ = Arc::strong_count(&cache);
+}
+
+/// A `Write` sink that keeps every `write` call's bytes separately, so
+/// a test can see how a response was split across calls.
+#[derive(Default)]
+struct WriteRecorder {
+    writes: Vec<Vec<u8>>,
+}
+
+impl Write for WriteRecorder {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn every_response_is_one_complete_line_per_write() {
+    // A reply split over several writes leaves a TCP socket as several
+    // segments, and Nagle holds all but the first until the peer's
+    // delayed ACK. Each write must carry exactly one whole line.
+    let service = Service::new(ServerConfig::default());
+    let input = "\
+ping id=1\n\
+run id=2 app=shape scale=tiny policy=ls\n\
+run id=3 app=shape scale=tiny policy=warp9\n\
+stats id=4\n";
+    let mut out = WriteRecorder::default();
+    let exit = service
+        .serve(&mut BufReader::new(input.as_bytes()), &mut out)
+        .expect("in-memory serve cannot fail on I/O");
+    service.drain();
+    assert_eq!(exit, Exit::Eof);
+
+    let lines: Vec<String> = out
+        .writes
+        .iter()
+        .map(|w| String::from_utf8(w.clone()).expect("responses are UTF-8"))
+        .collect();
+    assert_eq!(lines.len(), 4, "one write per response: {lines:?}");
+    for line in &lines {
+        assert!(line.ends_with('\n'), "unterminated write: {line:?}");
+        assert_eq!(line.matches('\n').count(), 1, "several lines: {line:?}");
+    }
+    assert_eq!(lines[0], "ok id=1 pong=1\n");
+    assert!(lines[1].starts_with("ok id=2 app=shape "), "{}", lines[1]);
+    assert!(field(&lines[1], "makespan").is_some(), "{}", lines[1]);
+    assert!(
+        lines[2].starts_with("err id=3 code=bad_request"),
+        "{}",
+        lines[2]
+    );
+    assert!(lines[3].starts_with("ok id=4 hits="), "{}", lines[3]);
+    assert!(field(&lines[3], "panicked").is_some(), "{}", lines[3]);
+}
+
+#[test]
+fn tcp_round_trips_do_not_stall_on_delayed_acks() {
+    // A split reply on a Nagle socket waits ~40 ms for the client's
+    // delayed ACK on every round trip; a whole-line reply does not.
+    let server = TcpServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn().expect("spawn");
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut rtts = Vec::new();
+    for i in 0..20 {
+        let request = format!("ping id={i}\n");
+        let mut resp = String::new();
+        let t = Instant::now();
+        writer.write_all(request.as_bytes()).expect("write");
+        reader.read_line(&mut resp).expect("read");
+        rtts.push(t.elapsed());
+        assert_eq!(resp, format!("ok id={i} pong=1\n"));
+    }
+    writer.write_all(b"shutdown id=bye\n").expect("write");
+    handle.wait().expect("accept loop exits");
+
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median ping round trip {median:?} (all: {rtts:?})"
+    );
+}
+
+#[test]
+fn many_closed_connections_still_shut_down_cleanly() {
+    // Finished connection threads are reaped while the server runs;
+    // shutdown must still join whatever is left.
+    let server = TcpServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn().expect("spawn");
+
+    for i in 0..64 {
+        assert_eq!(
+            ask_once(addr, &format!("ping id={i}")),
+            format!("ok id={i} pong=1")
+        );
+    }
+    assert_eq!(ask_once(addr, "shutdown id=bye"), "ok id=bye draining=1");
+    handle.wait().expect("accept loop exits");
 }
