@@ -220,6 +220,15 @@ fn main() {
         "makespan_checksum",
     );
 
+    // Build: the closed-form bounding boxes of box spaces must equal the
+    // Fourier–Motzkin reference on every suite and open-pipeline space,
+    // and stay far cheaper than it. Both passes run in the same process,
+    // so host speed cancels; recorded ~100-130x, floor well below (a
+    // box space routed back through projection reads ~1).
+    let (_, f) = doc("BENCH_hotpath.json");
+    gate.must_be_true("BENCH_hotpath.json", f, "\"build\"", "bounds_identical");
+    gate.floor("BENCH_hotpath.json", f, "\"build\"", "bbox_speedup", 5.0);
+
     // Sweep: thread counts must not change reports.
     let (_, f) = doc("BENCH_sweep.json");
     gate.must_be_true("BENCH_sweep.json", f, "", "reports_identical");
@@ -302,11 +311,13 @@ fn main() {
     // Transport stall detector: serve p50 over in-process execute_work
     // p50 for the same request lines, each side with an identically
     // warmed cache. Both are timed on the same host in the same run, so
-    // host speed cancels. A healthy transport adds tens of microseconds
-    // of loopback syscalls and thread handoffs to ~1.5 ms of execute
-    // (recorded ~1.0). A Nagle/delayed-ACK stall adds a fixed ~40 ms
-    // timer that does not shrink on a faster host (read ~37 with it).
-    // The ceiling sits well between the two.
+    // host speed cancels. A healthy transport adds ~0.05-0.15 ms of
+    // loopback syscalls and thread handoffs to ~0.3 ms of execute
+    // (recorded ~1.1-1.5; ~1.0 back when workload build made execute
+    // ~1.5 ms). A Nagle/delayed-ACK stall adds a fixed ~40 ms timer that
+    // does not shrink on a faster host: it read ~37 against ~1.5 ms of
+    // execute, and ~40/0.3 is over 100 now. The ceiling sits well
+    // between the two.
     gate.ceiling("BENCH_service.json", f, "", "rtt_over_execute", 8.0);
 
     // Arrivals: the million-process plan and the open-system run are

@@ -38,6 +38,12 @@
 //! offered load (steady-state latency percentiles, run twice to pin
 //! determinism), and a typed-shed probe against a bounded queue.
 //!
+//! `BENCH_hotpath.json`'s `build` section times the workload-build
+//! layer: closed-form bounding boxes against the Fourier–Motzkin
+//! reference over every suite and open-pipeline process space (same run,
+//! so host speed cancels in `bbox_speedup`), and `Workload::single` per
+//! Tiny/Small suite app.
+//!
 //! Usage:
 //! `cargo run --release -p lams-bench --bin bench_summary [out.json] [sweep.json] [trace.json] [memo.json] [bus.json] [service.json] [arrivals.json]`
 //!
@@ -205,6 +211,90 @@ fn trace_bench() -> TraceBench {
         ltr_ops: bundle.total_ops(),
         encode_mops: per_op(encode_ns),
         decode_ltr_mops: per_op(decode_ltr_ns),
+    }
+}
+
+struct BuildBench {
+    spaces: usize,
+    fm_us: f64,
+    closed_form_us: f64,
+    bounds_identical: bool,
+    /// `(scale, app, µs)` per `Workload::single`, AppSpec clone included.
+    single_us: Vec<(Scale, String, f64)>,
+}
+
+/// The workload-build layer. Every process space of every suite app at
+/// every scale plus the open-pipeline benchmark's 16×32 synthetic
+/// pipeline gets its bounding box from [`IterSpace::bounding_box`] and
+/// from the per-dimension Fourier–Motzkin reference
+/// ([`fm::bounding_box`]); both passes are timed and must agree.
+///
+/// [`IterSpace::bounding_box`]: lams_presburger::IterSpace::bounding_box
+/// [`fm::bounding_box`]: lams_presburger::fm::bounding_box
+fn build_bench() -> BuildBench {
+    use lams_presburger::fm;
+
+    let scales = [
+        Scale::Tiny,
+        Scale::Small,
+        Scale::Paper,
+        Scale::Large,
+        Scale::Huge,
+    ];
+    let mut apps: Vec<_> = scales.iter().flat_map(|&s| suite::all(s)).collect();
+    apps.push(synthetic_app(SyntheticConfig {
+        seed: 0xC0FFEE,
+        stages: 16,
+        procs_per_stage: 32,
+        dim: 128,
+        max_halo: 2,
+    }));
+    let spaces: Vec<_> = apps
+        .iter()
+        .flat_map(|a| a.processes.iter().map(|p| p.space.clone()))
+        .collect();
+
+    let bounds_identical = spaces
+        .iter()
+        .all(|s| s.bounding_box() == fm::bounding_box(s.system(), s.dims()));
+    let fm_ns = time_ns(
+        || {
+            for s in &spaces {
+                black_box(fm::bounding_box(s.system(), s.dims())).ok();
+            }
+        },
+        1,
+        9,
+    );
+    let closed_form_ns = time_ns(
+        || {
+            for s in &spaces {
+                black_box(s.bounding_box()).ok();
+            }
+        },
+        20,
+        9,
+    );
+
+    let mut single_us = Vec::new();
+    for scale in [Scale::Tiny, Scale::Small] {
+        for app in suite::all(scale) {
+            let ns = time_ns(
+                || {
+                    black_box(Workload::single(app.clone()).expect("valid app"));
+                },
+                5,
+                9,
+            );
+            single_us.push((scale, app.name.clone(), ns / 1e3));
+        }
+    }
+    BuildBench {
+        spaces: spaces.len(),
+        fm_us: fm_ns / 1e3,
+        closed_form_us: closed_form_ns / 1e3,
+        bounds_identical,
+        single_us,
     }
 }
 
@@ -834,6 +924,21 @@ fn main() {
     let sum = checksum(&rows);
     eprintln!("  {} runs, makespan checksum 0x{sum:016x}", rows.len());
 
+    eprintln!("bench_summary: workload-build bench (bounding boxes, Workload::single)...");
+    let bld = build_bench();
+    assert!(
+        bld.bounds_identical,
+        "closed-form bounding boxes diverged from the FM reference"
+    );
+    let bbox_speedup = bld.fm_us / bld.closed_form_us;
+    eprintln!(
+        "  bounding boxes   {} spaces: FM {:.1} us vs closed form {:.1} us ({bbox_speedup:.1}x)",
+        bld.spaces, bld.fm_us, bld.closed_form_us
+    );
+    for (scale, name, us) in &bld.single_us {
+        eprintln!("  single {:5} {name:9} {us:8.1} us", scale.to_string());
+    }
+
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"schema\": 1,\n");
@@ -850,6 +955,32 @@ fn main() {
         eng.sim_mops_per_s
     ));
     json.push_str(&format!("    \"makespan_cycles\": {}\n", eng.makespan));
+    json.push_str("  },\n");
+    json.push_str("  \"build\": {\n");
+    json.push_str(&format!("    \"spaces\": {},\n", bld.spaces));
+    json.push_str(&format!("    \"fm_reference_us\": {:.2},\n", bld.fm_us));
+    json.push_str(&format!(
+        "    \"closed_form_us\": {:.2},\n",
+        bld.closed_form_us
+    ));
+    json.push_str(&format!("    \"bbox_speedup\": {bbox_speedup:.2},\n"));
+    json.push_str(&format!(
+        "    \"bounds_identical\": {},\n",
+        bld.bounds_identical
+    ));
+    json.push_str("    \"workload_single_us\": {\n");
+    for (i, (scale, name, us)) in bld.single_us.iter().enumerate() {
+        let comma = if i + 1 == bld.single_us.len() {
+            ""
+        } else {
+            ","
+        };
+        let key = format!("{scale}_{name}")
+            .to_ascii_lowercase()
+            .replace('-', "_");
+        json.push_str(&format!("      \"{key}\": {us:.1}{comma}\n"));
+    }
+    json.push_str("    }\n");
     json.push_str("  },\n");
     json.push_str("  \"golden\": {\n");
     json.push_str(&format!("    \"makespan_checksum\": \"0x{sum:016x}\",\n"));

@@ -1,15 +1,21 @@
 //! Fourier–Motzkin elimination over affine constraint systems.
 //!
 //! Used by [`IterSpace`](crate::IterSpace) to derive per-dimension bounds
-//! for enumeration and to prove emptiness. Elimination is performed over
-//! the *rational relaxation*: if the relaxation is empty the integer set is
-//! certainly empty, and the derived variable bounds are valid (possibly
-//! loose) bounds for the integer set. Exact integer counting in this crate
-//! is always done by bounded enumeration on top of these bounds, so the
-//! relaxation never causes incorrect results — only, at worst, a little
-//! wasted pruning work.
+//! of *non-box* spaces (constraints coupling two or more dimensions) for
+//! enumeration, and to prove emptiness. Box spaces take a closed-form
+//! path in [`IterSpace::bounding_box`](crate::IterSpace::bounding_box)
+//! that returns exactly what [`bounding_box`] returns for them; the
+//! differential tests keep [`bounding_box`] as its reference.
+//!
+//! Elimination is performed over the *rational relaxation*: if the
+//! relaxation is empty the integer set is certainly empty, and the
+//! derived variable bounds are valid (possibly loose) bounds for the
+//! integer set. Exact integer counting in this crate is always done by
+//! bounded enumeration on top of these bounds, so the relaxation never
+//! causes incorrect results — only, at worst, a little wasted pruning
+//! work.
 
-use crate::{AffineExpr, Constraint, ConstraintKind, ConstraintSystem, Var};
+use crate::{AffineExpr, Constraint, ConstraintKind, ConstraintSystem, Error, Result, Var};
 
 /// Eliminates `var` from the system, returning a system over the remaining
 /// variables whose rational solution set is the projection of the input.
@@ -213,6 +219,27 @@ pub fn var_bounds(system: &ConstraintSystem, var: &Var) -> Option<(Option<i64>, 
         }
     }
     Some((lo, hi))
+}
+
+/// Integer bounding box `(lo, hi)` of `dims` under `system`, one
+/// [`var_bounds`] projection per dimension, in order.
+///
+/// # Errors
+///
+/// Returns [`Error::Unbounded`] for the first dimension (in order)
+/// without a finite bound on both sides, unless a projection before it
+/// proved the system empty: that yields `Ok` with the marker box
+/// `(0, -1)` in every dimension.
+pub fn bounding_box(system: &ConstraintSystem, dims: &[Var]) -> Result<Vec<(i64, i64)>> {
+    let mut out = Vec::with_capacity(dims.len());
+    for d in dims {
+        match var_bounds(system, d) {
+            None => return Ok(vec![(0, -1); dims.len()]),
+            Some((Some(lo), Some(hi))) => out.push((lo, hi)),
+            Some(_) => return Err(Error::Unbounded(d.name().to_owned())),
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

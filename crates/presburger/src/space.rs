@@ -3,7 +3,10 @@
 use std::fmt;
 
 use crate::fm;
-use crate::{AffineExpr, AffineMap, Constraint, ConstraintSystem, Error, IndexSet, Result, Var};
+use crate::{
+    AffineExpr, AffineMap, Constraint, ConstraintKind, ConstraintSystem, Error, IndexSet, Result,
+    Var,
+};
 
 /// Default budget for exact enumeration (number of bounding-box points).
 ///
@@ -74,8 +77,12 @@ impl IterSpace {
         self.system.holds_point(&self.dims, point)
     }
 
-    /// Integer bounding box `(lo, hi)` (both inclusive) per dimension,
-    /// derived by Fourier–Motzkin projection.
+    /// Integer bounding box `(lo, hi)` (both inclusive) per dimension.
+    ///
+    /// Box spaces ([`IterSpace::is_box`]) read their bounds off the
+    /// constraints in one pass; other spaces derive them by
+    /// Fourier–Motzkin projection ([`fm::bounding_box`]). Both return the
+    /// same result for a box.
     ///
     /// # Errors
     ///
@@ -84,15 +91,44 @@ impl IterSpace {
     /// spaces; an infeasible system yields `Ok` with an empty marker box
     /// `(0, -1)` in every dimension.
     pub fn bounding_box(&self) -> Result<Vec<(i64, i64)>> {
-        let mut out = Vec::with_capacity(self.dims.len());
-        for d in &self.dims {
-            match fm::var_bounds(&self.system, d) {
-                None => {
-                    // Infeasible: report an empty box.
-                    return Ok(vec![(0, -1); self.dims.len()]);
+        if !self.is_box() {
+            return fm::bounding_box(&self.system, &self.dims);
+        }
+        let rank = self.dims.len();
+        if rank == 0 {
+            return Ok(Vec::new());
+        }
+        let empty = || Ok(vec![(0, -1); rank]);
+        let mut bounds = vec![DimBounds::default(); rank];
+        for c in self.system.constraints() {
+            let Some((var, a)) = c.expr().terms().next() else {
+                if c.as_trivial() == Some(false) {
+                    return empty();
                 }
-                Some((Some(lo), Some(hi))) => out.push((lo, hi)),
-                Some(_) => return Err(Error::Unbounded(d.name().to_owned())),
+                continue;
+            };
+            let k = self
+                .dims
+                .iter()
+                .position(|d| d == var)
+                .ok_or_else(|| Error::UnboundVariable(var.name().to_owned()))?;
+            bounds[k].add(c.kind(), a, c.expr().constant_part());
+        }
+        // Projecting out a rationally empty dimension empties the whole
+        // system, whichever dimension is being bounded.
+        if bounds.iter().any(DimBounds::rationally_empty) {
+            return empty();
+        }
+        let mut out = Vec::with_capacity(rank);
+        for (d, b) in self.dims.iter().zip(&bounds) {
+            if b.int_infeasible {
+                return empty();
+            }
+            // Without a fractional equality every bound is an integer.
+            match (b.lo, b.hi) {
+                (Some((lo, _)), Some((hi, _))) if lo > hi => return empty(),
+                (Some((lo, _)), Some((hi, _))) => out.push((lo, hi)),
+                _ => return Err(Error::Unbounded(d.name().to_owned())),
             }
         }
         Ok(out)
@@ -351,6 +387,74 @@ impl IterSpace {
                 }
             }
         }
+    }
+}
+
+/// A rational `num / den` with `den > 0`.
+type Frac = (i64, i64);
+
+fn frac_lt(p: Frac, q: Frac) -> bool {
+    i128::from(p.0) * i128::from(q.1) < i128::from(q.0) * i128::from(p.1)
+}
+
+/// One dimension's bounds in a box space, read off the single-variable
+/// constraints on it by [`IterSpace::bounding_box`]. Normalization
+/// leaves every inequality with coefficient ±1, so only an equality
+/// whose coefficient does not divide its constant has a fractional
+/// value, and that equality also has no integer solution.
+#[derive(Debug, Clone, Copy, Default)]
+struct DimBounds {
+    /// Greatest rational lower bound (`None`: unbounded below).
+    lo: Option<Frac>,
+    /// Least rational upper bound (`None`: unbounded above).
+    hi: Option<Frac>,
+    /// Some equality has no integer solution.
+    int_infeasible: bool,
+}
+
+impl DimBounds {
+    /// Adds the constraint `a*x + d >= 0` or `a*x + d == 0` (`a != 0`).
+    fn add(&mut self, kind: ConstraintKind, a: i64, d: i64) {
+        match kind {
+            ConstraintKind::GeZero => {
+                debug_assert!(a == 1 || a == -1);
+                if a > 0 {
+                    self.raise((-d, 1));
+                } else {
+                    self.cap((d, 1));
+                }
+            }
+            ConstraintKind::EqZero => {
+                let x = if d % a == 0 {
+                    (-d / a, 1)
+                } else {
+                    self.int_infeasible = true;
+                    if a > 0 {
+                        (-d, a)
+                    } else {
+                        (d, -a)
+                    }
+                };
+                self.raise(x);
+                self.cap(x);
+            }
+        }
+    }
+
+    fn raise(&mut self, x: Frac) {
+        if self.lo.is_none_or(|lo| frac_lt(lo, x)) {
+            self.lo = Some(x);
+        }
+    }
+
+    fn cap(&mut self, x: Frac) {
+        if self.hi.is_none_or(|hi| frac_lt(x, hi)) {
+            self.hi = Some(x);
+        }
+    }
+
+    fn rationally_empty(&self) -> bool {
+        matches!((self.lo, self.hi), (Some(lo), Some(hi)) if frac_lt(hi, lo))
     }
 }
 
@@ -664,6 +768,64 @@ mod tests {
         let img = s.image_1d(&m).unwrap();
         let expect: IndexSet = s.iter().unwrap().map(|p| 4 * p[0] + p[1]).collect();
         assert_eq!(img, expect);
+    }
+
+    #[test]
+    fn box_bounds_follow_projection_precedence() {
+        let ge = |v: &str, a: i64, d: i64| {
+            Constraint::ge_zero(AffineExpr::term(v, a) + AffineExpr::constant(d))
+        };
+        let eq = |v: &str, a: i64, d: i64| {
+            Constraint::eq_zero(AffineExpr::term(v, a) + AffineExpr::constant(d))
+        };
+        let space = |cs: Vec<Constraint>| {
+            cs.into_iter()
+                .fold(IterSpace::builder().dim("i").dim("j"), |b, c| {
+                    b.constraint(c)
+                })
+                .build()
+                .unwrap()
+        };
+        let marker = Ok(vec![(0, -1); 2]);
+        let unbounded_i = Err(Error::Unbounded("i".into()));
+        let cases = [
+            // A trivially false constraint empties everything.
+            (vec![Constraint::unsatisfiable()], marker.clone()),
+            // j is rationally empty: it wins over i's missing bounds.
+            (vec![ge("j", 1, -3), ge("j", -1, 2)], marker.clone()),
+            // 2j == 5 has no integer point but is rationally feasible:
+            // i's missing bounds are reported first.
+            (vec![eq("j", 2, -5)], unbounded_i.clone()),
+            (
+                vec![ge("i", 1, 0), ge("i", -1, 4), eq("j", 2, -5)],
+                marker.clone(),
+            ),
+            // 2j == 5 against 0 <= j <= 1 is rationally empty.
+            (
+                vec![eq("j", 2, -5), ge("j", 1, 0), ge("j", -1, 1)],
+                marker.clone(),
+            ),
+            // i's own integer infeasibility wins over j's missing bounds.
+            (vec![eq("i", 3, -4)], marker.clone()),
+            (
+                vec![ge("i", 1, 0), eq("i", 1, -2)],
+                Err(Error::Unbounded("j".into())),
+            ),
+            (
+                vec![
+                    eq("i", 1, -2),
+                    eq("j", -1, 7),
+                    Constraint::ge_zero(AffineExpr::constant(3)),
+                ],
+                Ok(vec![(2, 2), (7, 7)]),
+            ),
+        ];
+        for (cs, want) in cases {
+            let s = space(cs);
+            assert!(s.is_box());
+            assert_eq!(s.bounding_box(), want, "{s}");
+            assert_eq!(fm::bounding_box(s.system(), s.dims()), want, "{s}");
+        }
     }
 
     #[test]

@@ -1,11 +1,71 @@
 //! Property-based tests: IndexSet algebra against a naive BTreeSet model,
-//! and closed-form images against brute-force enumeration.
+//! closed-form images against brute-force enumeration, and closed-form
+//! bounding boxes against Fourier–Motzkin projection.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use lams_presburger::{AffineExpr, AffineMap, IndexSet, IterSpace};
+use lams_presburger::{fm, AffineExpr, AffineMap, Constraint, Error, IndexSet, IterSpace};
+
+/// A random box space: 1–4 dimensions, each declared bare (unbounded
+/// until a constraint bounds it) or with a possibly empty range, plus
+/// 0–8 extra single-variable `Ge`/`Eq` constraints with coefficients in
+/// ±1..±3 (so equalities may have no integer solution) and the odd
+/// trivially true or false constant constraint.
+fn arb_box() -> impl Strategy<Value = IterSpace> {
+    (
+        prop::collection::vec((0u8..4, -6i64..6, 0i64..12), 1..5),
+        prop::collection::vec((0u8..40, 0usize..4, 1i64..4, 0u8..2, -16i64..17), 0..9),
+    )
+        .prop_map(|(dims, extra)| {
+            let name = |k: usize| format!("x{k}");
+            let mut b = IterSpace::builder();
+            for (k, &(kind, lo, len)) in dims.iter().enumerate() {
+                b = match kind {
+                    0 => b.dim(name(k)),
+                    _ => b.dim_range(name(k), lo, lo + len),
+                };
+            }
+            for (kind, k, mag, neg, c) in extra {
+                let a = if neg == 1 { -mag } else { mag };
+                let lhs = AffineExpr::term(name(k % dims.len()), a) + AffineExpr::constant(c);
+                b = b.constraint(match kind {
+                    0..=27 => Constraint::ge_zero(lhs),
+                    28..=35 => Constraint::eq_zero(lhs),
+                    36..=38 => Constraint::ge_zero(AffineExpr::constant(c.abs())),
+                    _ => Constraint::eq_zero(AffineExpr::constant(c.abs() + 1)),
+                });
+            }
+            b.build()
+                .expect("every constraint names a declared dimension")
+        })
+}
+
+/// The reference: one Fourier–Motzkin projection per dimension.
+fn fm_bounding_box(space: &IterSpace) -> Result<Vec<(i64, i64)>, Error> {
+    let mut out = Vec::new();
+    for d in space.dims() {
+        match fm::var_bounds(space.system(), d) {
+            None => return Ok(vec![(0, -1); space.rank()]),
+            Some((Some(lo), Some(hi))) => out.push((lo, hi)),
+            Some(_) => return Err(Error::Unbounded(d.name().to_owned())),
+        }
+    }
+    Ok(out)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn closed_form_bounding_box_matches_fm(space in arb_box()) {
+        prop_assert!(space.is_box());
+        let reference = fm_bounding_box(&space);
+        prop_assert_eq!(&space.bounding_box(), &reference, "space {}", space);
+        prop_assert_eq!(&fm::bounding_box(space.system(), space.dims()), &reference);
+    }
+}
 
 /// A small random IndexSet together with its reference model.
 fn arb_set() -> impl Strategy<Value = (IndexSet, BTreeSet<i64>)> {
